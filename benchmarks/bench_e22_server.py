@@ -3,9 +3,11 @@
 PR 10 puts the engine behind ``repro serve`` (:mod:`repro.server`): an
 asyncio front end funnels each connection's operations onto a dedicated
 worker thread, so concurrent client commits land on the engine exactly
-like concurrent embedded threads do — and ride the WAL's ~1ms group-commit
-window (see :mod:`repro.engine.wal`).  This benchmark records what the
-funnel delivers on a durable ``sync=True`` tenant:
+like concurrent embedded threads do — and share the WAL's group commit
+(see :mod:`repro.engine.wal`).  Each decoded write frame announces itself
+to group commit before it reaches the engine; the fsync leader waits, at
+most 1ms, only while announced commits have yet to flush.  This benchmark
+records what the funnel delivers on a durable ``sync=True`` tenant:
 
 * ``commit latency`` — p50/p99 wall time of an autocommit insert as seen
   by the client, at 1, 4 and 16 concurrent connections.  The p50 at one
@@ -13,9 +15,9 @@ funnel delivers on a durable ``sync=True`` tenant:
   long a commit waits for its batch.
 * ``throughput`` — committed inserts per second across all connections.
 * ``fsyncs per commit`` — the coalescing gate.  A lone connection pays
-  one fsync per commit by design (no window for a solo committer).  At
-  **16 connections** the leader's window must batch concurrent commits
-  aggressively enough that the server issues **≤ 0.2 fsyncs per commit**
+  one fsync per commit by design (nobody else is announced, so its leader
+  never waits).  At **16 connections** the leader must wait for enough
+  announced commits that the server issues **≤ 0.2 fsyncs per commit**
   (≥ 5 commits retired per fsync) — the property that makes a shared
   server cheaper per commit than 16 embedded single-writer stores.
 
@@ -143,14 +145,15 @@ def test_e22_commit_latency_and_coalescing(
 
     if e22_conns == 1:
         # A solo committer must keep the immediate-fsync latency contract:
-        # no batching window means one fsync per commit.
+        # with no other committer announced, its leader never waits, so
+        # every commit pays its own fsync.
         assert fsyncs_per_commit > 0.9, (
             f"solo connection coalesced ({fsyncs_per_commit:.2f} "
             f"fsyncs/commit) — the lone-committer fast path regressed"
         )
     if e22_conns == 16:
-        # Acceptance: concurrent client commits ride the group-commit
-        # window — at most one fsync per five commits at 16 connections.
+        # Acceptance: concurrent client commits share group-commit fsyncs
+        # — at most one fsync per five commits at 16 connections.
         assert fsyncs_per_commit <= 0.2, (
             f"{fsyncs_per_commit:.2f} fsyncs/commit at {e22_conns} "
             f"connections — commits are not coalescing in the server"

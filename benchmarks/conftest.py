@@ -3,8 +3,7 @@
 Every benchmark both *verifies* the paper artifact it regenerates (plain
 assertions — a benchmark that reproduces the wrong result must fail) and
 *times* the machinery behind it, so `pytest benchmarks/ --benchmark-only`
-doubles as the reproduction record.  EXPERIMENTS.md maps each file to the
-paper artifact it covers.
+doubles as the reproduction record.
 
 Every run additionally writes one machine-readable ``BENCH_<name>.json``
 summary per benchmark module (median/p95 per case, plus each case's

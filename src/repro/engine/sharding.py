@@ -1224,16 +1224,19 @@ class _ShardedTransaction:
                 prepared.append(txn)
                 tickets.append((txn.store, txn.prepare_commit(gid)))
             # Every prepare marker durable before the decide: a decide
-            # record must never outrun a participant's prepared ops.
+            # record must never outrun a participant's prepared ops.  Every
+            # wait below runs with the participants' writer locks held, so
+            # the group-commit leader must not wait for committers queued
+            # behind them (holding_lock=True).
             for store, ticket in tickets:
                 if ticket is not None:
-                    store._wal.wait_durable(ticket)
+                    store._wal.wait_durable(ticket, holding_lock=True)
             coordinator = durable[0].store
             decide_attempted = True
             coordinator._wal.log_decide(gid, True)
             ticket = coordinator._wal.commit_flush()
             if ticket is not None:
-                coordinator._wal.wait_durable(ticket)
+                coordinator._wal.wait_durable(ticket, holding_lock=True)
         except BaseException:
             if not decide_attempted:
                 # No decide record can exist on any shard yet, so presumed
@@ -1280,7 +1283,7 @@ class _ShardedTransaction:
                     # Resolve durability before releasing: once every
                     # participant's resolve is down, any later checkpoint
                     # may safely fold the coordinator's decide away.
-                    txn.store._wal.wait_durable(ticket)
+                    txn.store._wal.wait_durable(ticket, holding_lock=True)
             except BaseException:
                 pass  # the durable decide already fixes the outcome
             txn.finish_prepared(True)

@@ -259,8 +259,13 @@ class ObjectStore:
         All effective attributes must be provided; values are type-checked
         (with safe coercions such as int→real applied).
         """
-        with self._lock:
-            obj, ticket = self._insert_locked(class_name, state, kwargs)
+        announced = self._announce()
+        try:
+            with self._lock:
+                obj, ticket = self._insert_locked(class_name, state, kwargs)
+        finally:
+            if announced is not None:
+                announced.retire()
         self._await_durability(ticket)
         return obj
 
@@ -326,8 +331,13 @@ class ObjectStore:
 
     def update(self, target: DBObject | str, **changes: Any) -> DBObject:
         """Change attribute values of an existing object."""
-        with self._lock:
-            obj, ticket = self._update_locked(target, changes)
+        announced = self._announce()
+        try:
+            with self._lock:
+                obj, ticket = self._update_locked(target, changes)
+        finally:
+            if announced is not None:
+                announced.retire()
         self._await_durability(ticket)
         return obj
 
@@ -381,8 +391,13 @@ class ObjectStore:
         invalidate (database constraints, and — on incremental stores —
         aggregate/key class constraints over the shrunk extent and object
         constraints that referenced the removed object)."""
-        with self._lock:
-            ticket = self._delete_locked(target)
+        announced = self._announce()
+        try:
+            with self._lock:
+                ticket = self._delete_locked(target)
+        finally:
+            if announced is not None:
+                announced.retire()
         self._await_durability(ticket)
 
     def _delete_locked(self, target: DBObject | str) -> "int | None":
@@ -880,11 +895,26 @@ class ObjectStore:
             raise
         return ticket
 
+    def _announce(self) -> "WriteAheadLog | None":
+        """Announce the calling thread to group commit before it queues for
+        the writer lock (``sync`` logs only — other modes keep no
+        bookkeeping).  Returns the log when the caller owes a
+        :meth:`WriteAheadLog.retire` once the lock is released; the commit
+        point itself retires the thread, so the call only matters when the
+        write fails or commits nothing."""
+        wal = self._wal
+        if wal is not None and wal.sync and wal.announce():
+            return wal
+        return None
+
     def _await_durability(self, ticket: "int | None") -> None:
-        """Redeem a group-commit ticket.  Called with the writer lock
-        released, so concurrent committers batch into one fsync."""
+        """Redeem a group-commit ticket.  Normally called with the writer
+        lock released, so the fsync leader may wait for announced
+        committers and batch them into one fsync; a caller that still holds
+        the lock through an outer acquisition (the router's cross-shard
+        operations hold every core lock) waits as a lock holder instead."""
         if ticket is not None and self._wal is not None:
-            self._wal.wait_durable(ticket)
+            self._wal.wait_durable(ticket, holding_lock=self._lock._is_owned())
 
     def set_constant(self, name: str, value: Any) -> None:
         """Rebind a schema constant *through the store*.

@@ -111,13 +111,24 @@ Group commit
 commit**: the commit point splits into :meth:`WriteAheadLog.commit_flush`
 (buffer flush + durability ticket, called under the store's writer lock)
 and :meth:`WriteAheadLog.wait_durable` (called *after* the writer lock is
-released).  The first waiter becomes the fsync leader; committers arriving
-while the leader syncs — or during the short batching window the leader
-adds once it has seen concurrent committers — are covered by the same
-fsync and return without issuing their own.  One fsync thus retires many
-commits (the ``fsyncs``/``sync_commits`` counters expose the ratio), while
-a lone committer keeps the exact pre-group-commit latency: no concurrent
-ticket, no window, immediate fsync.
+released).  The first waiter becomes the fsync leader; committers that
+flushed before its fsync starts are covered by it and return without
+issuing their own.  One fsync thus retires many commits (the
+``fsyncs``/``sync_commits`` counters expose the ratio).
+
+The leader waits for committers, not for the clock.  A ``sync`` committer
+**announces** itself (:meth:`WriteAheadLog.announce`) when its write
+enters the engine — the store does so before taking its writer lock, the
+server when it decodes a write frame — and leaves the announced set at its
+commit point (the ticket issue) or when it gives up.  Before it fsyncs, the
+leader waits on the condition only while announced committers have not yet
+reached their commit point, and never longer than :data:`GROUP_WAIT_CAP`.
+So a lone committer fsyncs at once, and a leader under load stops waiting
+the moment the last announced committer has flushed.  A waiter that still
+holds the owning store's writer lock (two-phase commit, recovery resolve,
+``close()``) never waits for announced committers — they are queued behind
+its lock — and makes any waiting leader fsync at once
+(``wait_durable(holding_lock=True)``).
 
 Failure model
 -------------
@@ -187,6 +198,9 @@ SNAPSHOT_FORMAT = 1
 #: :meth:`WriteAheadLog.poison`.
 _RETRY_ATTEMPTS = 3
 _RETRY_BACKOFF = 0.001
+#: Longest an fsync leader waits for announced committers to reach their
+#: commit point (seconds).
+GROUP_WAIT_CAP = 0.001
 
 _OPS = ("insert", "update", "delete")
 
@@ -788,10 +802,11 @@ class WriteAheadLog:
     auto-checkpoint threshold in log records (0 disables).
 
     Under concurrent committers, ``sync=True`` commits coalesce through
-    group commit (see the module docstring): ``group_window`` is the short
-    wait the fsync leader adds while the system is under concurrent commit
-    load, letting more committers flush before the single fsync that
-    covers them all.  It never delays a lone committer.
+    group commit (see the module docstring): committers :meth:`announce`
+    themselves on the way in, and the fsync leader waits — at most
+    :data:`GROUP_WAIT_CAP` — only while announced committers have yet to
+    reach their commit point, so one fsync covers them all.  A lone
+    committer never waits.
     """
 
     def __init__(
@@ -799,13 +814,11 @@ class WriteAheadLog:
         path: str | Path,
         sync: bool = False,
         checkpoint_every: int = 10_000,
-        group_window: float = 0.001,
         faults: "FaultInjector | None" = None,
     ):
         self.path = Path(path)
         self.sync = sync
         self.checkpoint_every = checkpoint_every
-        self.group_window = group_window
         #: Optional fault-injection shim every file operation routes
         #: through (:mod:`repro.engine.faults`); ``None`` costs nothing.
         self.faults = faults
@@ -813,9 +826,11 @@ class WriteAheadLog:
         #: (first failure wins) by :meth:`poison`; never cleared — recovery
         #: means reopening the directory, not resuscitating this object.
         self._poisoned: "str | None" = None
-        #: Classified-error and degraded-path counters: keys like
-        #: ``dir_fsync_unsupported``, ``dir_fsync_retries``,
-        #: ``replace_retries``, ``abort_markers_skipped``.
+        #: Classified-error, degraded-path and group-commit counters: keys
+        #: like ``dir_fsync_unsupported``, ``dir_fsync_retries``,
+        #: ``replace_retries``, ``abort_markers_skipped`` and
+        #: ``group_waits`` (fsync leaders that waited for announced
+        #: committers).
         self.telemetry: dict[str, int] = {}
         self._handle = None
         self._next_lsn = 0
@@ -834,9 +849,15 @@ class WriteAheadLog:
         self._syncing = False
         #: Committers between ticket issue and durability.
         self._pending_syncs = 0
-        #: Monotonic deadline: while now < deadline the system counts as
-        #: under concurrent commit load and leaders apply the window.
-        self._group_load_until = 0.0
+        #: Idents of announced committer threads that have not yet reached
+        #: their commit point; the leader waits while this is non-empty.
+        self._announced: set[int] = set()
+        #: Waiters that hold the owning store's writer lock: while any is
+        #: blocked here, announced committers cannot progress, so leaders
+        #: stop waiting for them.
+        self._lock_holders = 0
+        #: True while a leader waits for announced committers.
+        self._gathering = False
         #: Telemetry: fsyncs issued by the group path / sync commit points.
         self.fsyncs = 0
         self.sync_commits = 0
@@ -992,10 +1013,18 @@ class WriteAheadLog:
         # ticket holder about to become one) must not race the handle
         # teardown.  New tickets cannot be issued meanwhile — the owning
         # store calls close() under its writer lock, which commit_flush
-        # also requires.
+        # also requires — so the drain counts as a lock holder, and a
+        # leader waiting for committers queued behind that lock fsyncs
+        # at once instead.
         with self._sync_cond:
-            while self._syncing or self._pending_syncs > 0:
-                self._sync_cond.wait()
+            self._lock_holders += 1
+            if self._gathering:
+                self._sync_cond.notify_all()
+            try:
+                while self._syncing or self._pending_syncs > 0:
+                    self._sync_cond.wait()
+            finally:
+                self._lock_holders -= 1
         if self._handle is not None:
             try:
                 if self._poisoned is None:
@@ -1082,12 +1111,62 @@ class WriteAheadLog:
             # close()'s drain must cover a committer preempted between
             # releasing the writer lock and redeeming its ticket.
             self._pending_syncs += 1
-            if self._pending_syncs > 1:
-                # Two committers in flight at once: flag concurrent load
-                # for a while, so leaders batch even when the committers
-                # alternate rather than overlap exactly.
-                self._group_load_until = time.monotonic() + 0.05
+            # The commit point: this committer's records are flushed, so a
+            # leader waiting for it may now fsync them.
+            self._retire_locked(threading.get_ident())
         return ticket
+
+    def announce(self, ident: "int | None" = None) -> bool:
+        """Count thread ``ident`` (default: the caller) as a committer on
+        its way to a commit point, so an fsync leader waits for it.
+
+        Returns whether the thread was newly announced — only then does
+        the caller owe a :meth:`retire` when it gives up before its commit
+        point (a nested write inside an announced transaction, or a write
+        the server already announced, owes nothing).  Only meaningful on
+        ``sync`` logs; callers skip it otherwise."""
+        if ident is None:
+            ident = threading.get_ident()
+        with self._sync_cond:
+            if ident in self._announced:
+                return False
+            self._announced.add(ident)
+            return True
+
+    def retire(self, ident: "int | None" = None) -> None:
+        """Withdraw an announcement without reaching a commit point (the
+        write was rejected or committed nothing).  Idempotent: the commit
+        point itself already retires the committing thread."""
+        if ident is None:
+            ident = threading.get_ident()
+        with self._sync_cond:
+            self._retire_locked(ident)
+
+    def _retire_locked(self, ident: int) -> None:
+        announced = self._announced
+        if ident in announced:
+            announced.discard(ident)
+            if self._gathering and not announced:
+                self._sync_cond.notify_all()
+
+    def _gather_locked(self) -> None:
+        """Leader, under the condition lock: wait while announced
+        committers have not reached their commit point, no writer-lock
+        holder is blocked here, and the log is healthy — at most
+        :data:`GROUP_WAIT_CAP`."""
+        if not self._announced or self._lock_holders:
+            return
+        _count(self.telemetry, "group_waits")
+        deadline = time.monotonic() + GROUP_WAIT_CAP
+        self._gathering = True
+        try:
+            while self._announced and not self._lock_holders and self._poisoned is None:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    break
+                self._sync_cond.wait(remaining)
+        finally:
+            self._gathering = False
 
     def abandon_ticket(self, ticket: "int | None") -> None:
         """Release an issued ticket without waiting for durability (the
@@ -1100,13 +1179,23 @@ class WriteAheadLog:
             if self._pending_syncs == 0:
                 self._sync_cond.notify_all()
 
-    def wait_durable(self, ticket: int) -> None:
+    def wait_durable(self, ticket: int, holding_lock: bool = True) -> None:
         """Block until every record with ``lsn < ticket`` is fsynced.
 
-        The first waiter becomes the leader: it (optionally) waits out the
-        batching window, issues one fsync, and wakes everyone it covered.
-        Later waiters piggyback.  Callers must not hold locks an fsync
-        leader could need — the store releases its writer lock first.
+        The first waiter becomes the leader: it waits for announced
+        committers that have not yet reached their commit point (at most
+        :data:`GROUP_WAIT_CAP`; not at all when none are announced), issues
+        one fsync, and wakes everyone it covered.  Later waiters piggyback.
+        Callers must not hold locks an fsync leader could need.
+
+        ``holding_lock`` says whether the caller still holds the owning
+        store's writer lock — the default, because it is the safe
+        assumption.  Announced committers are then queued behind the
+        caller's lock and cannot reach their commit point, so such a
+        waiter never waits for them as leader, and while it waits as a
+        follower every leader stops waiting for them too.  Only the
+        store's own commit path, which releases its writer lock first,
+        passes ``False``.
 
         A failed fsync is **never retried** (fsyncgate: the kernel may
         have dropped the dirty pages while marking them clean, so a retry
@@ -1114,12 +1203,18 @@ class WriteAheadLog:
         :meth:`poison`\\ s the log and raises
         :class:`~repro.errors.StorePoisonedError`; every follower waiting
         on the same batch — and every committer arriving later — fails the
-        same way instead of hanging or falsely reporting durability.
-        Followers whose ticket was already covered by an earlier completed
-        fsync still succeed: their durability was provided before the
-        failure.
+        same way instead of hanging or falsely reporting durability.  A
+        leader still waiting for announced committers when the log is
+        poisoned fails the same way.  Followers whose ticket was already
+        covered by an earlier completed fsync still succeed: their
+        durability was provided before the failure.
         """
         try:
+            if holding_lock:
+                with self._sync_cond:
+                    self._lock_holders += 1
+                    if self._gathering:
+                        self._sync_cond.notify_all()
             while True:
                 with self._sync_cond:
                     # Order matters: a ticket the disk already covered is
@@ -1127,26 +1222,21 @@ class WriteAheadLog:
                     if self._synced_lsn >= ticket:
                         return
                     if self._poisoned is not None:
-                        raise StorePoisonedError(
-                            "durable commit failed: write-ahead log at "
-                            f"{str(self.path)!r} is poisoned "
-                            f"({self._poisoned}); the commit's durability "
-                            "cannot be established"
-                        )
+                        raise self._durability_lost()
                     if self._syncing:
                         self._sync_cond.wait()
                         continue
                     self._syncing = True
-                    under_load = time.monotonic() < self._group_load_until
+                    if not holding_lock:
+                        # Let announced committers reach their commit
+                        # point; one fsync will cover them all.
+                        self._gather_locked()
+                    cover = self._flushed_lsn
                 # -- leader, outside the condition lock --------------------
                 synced = False
                 try:
-                    if under_load and self.group_window > 0:
-                        # Let concurrently running committers reach their
-                        # commit_flush; one fsync will cover them all.
-                        time.sleep(self.group_window)
-                    with self._sync_cond:
-                        cover = self._flushed_lsn
+                    if self._poisoned is not None:  # poisoned while gathering
+                        raise self._durability_lost()
                     handle = self._handle
                     if handle is None:
                         # Only possible when the log was torn down under
@@ -1188,9 +1278,18 @@ class WriteAheadLog:
                         self._sync_cond.notify_all()
         finally:
             with self._sync_cond:
+                if holding_lock:
+                    self._lock_holders -= 1
                 self._pending_syncs -= 1
                 if self._pending_syncs == 0:
                     self._sync_cond.notify_all()
+
+    def _durability_lost(self) -> StorePoisonedError:
+        return StorePoisonedError(
+            "durable commit failed: write-ahead log at "
+            f"{str(self.path)!r} is poisoned ({self._poisoned}); the "
+            "commit's durability cannot be established"
+        )
 
     def log_insert(self, obj: "DBObject") -> None:
         self._log_operation(

@@ -12,10 +12,20 @@ and answered on the loop.  Pinning buys two properties at once:
   runs on the thread that opened it — the bracket behaves exactly like an
   embedded ``with store.transaction():`` block.
 * **Group-commit funneling.** Concurrent commits from different
-  connections run on different threads, so they land in the write-ahead
-  log's group-commit window together: one worker pays the fsync, the
-  rest ride it (``commit_flush`` tickets / ``wait_durable``).  Serving
-  16 connections costs ~the fsync rate of serving one.
+  connections run on different threads, so they reach the write-ahead
+  log's group commit together: one worker pays the fsync, the rest ride
+  it (``commit_flush`` tickets / ``wait_durable``).  On a ``sync`` tenant
+  each decoded write frame announces its connection's worker to group
+  commit *before* the executor hop, so an fsync leader also waits for
+  requests still queued behind the event loop or admission — never
+  longer than the log's cap, and not at all when nobody else is
+  committing.  Sharded tenants announce per core, inside the engine.
+
+**Reads.**  ``extent`` and ``query`` read a snapshot of the committed
+store, never the live one: other connections' workers write it
+concurrently.  Inside the connection's own open transaction they read the
+live store instead — that worker holds the writer lock, and the
+transaction must see its own writes.
 
 **Admission control.**  ``max_connections`` is enforced at accept — the
 surplus connection receives a *retryable*
@@ -42,12 +52,16 @@ import threading
 from collections.abc import AsyncIterator, Callable, Coroutine
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.engine.api import SnapshotAPI, StoreAPI
+from repro.engine.indexes import oid_sort_key
 from repro.errors import AdmissionError, ProtocolError, ReproError
 from repro.server import protocol
 from repro.server.tenants import TenantRegistry
+
+if TYPE_CHECKING:
+    from repro.engine.wal import WriteAheadLog
 
 __all__ = ["ServerConfig", "ReproServer", "ServerThread"]
 
@@ -61,7 +75,10 @@ class ServerConfig:
     port: int = 0
     #: Directory for durable tenant stores; ``None`` keeps tenants in memory.
     root: str | Path | None = None
-    #: ``True`` fsyncs every commit; ``False`` uses group commit (default).
+    #: ``True`` makes every commit durable with an fsync before it is
+    #: acknowledged; concurrent commits share fsyncs through group commit.
+    #: ``False`` (default) flushes to the OS only: durable against a
+    #: server crash, not against power loss.
     sync: bool = False
     checkpoint_every: int = 10_000
     #: Accept at most this many concurrent connections; the surplus is
@@ -224,6 +241,11 @@ class _Connection:
         self._pending_codec: str | None = None
         self.tenant: str | None = None
         self.store: StoreAPI | None = None
+        #: The tenant's write-ahead log when its commits fsync (a plain
+        #: ``sync`` store); write frames announce the worker to it.
+        self._group_wal: WriteAheadLog | None = None
+        #: Ident of the worker thread, known once ``open`` ran on it.
+        self._worker: int | None = None
         self._txns: list[Any] = []
         self._snapshots: dict[str, SnapshotAPI] = {}
         self._next_snapshot = 0
@@ -313,6 +335,43 @@ class _Connection:
         async with self._admit():
             return await loop.run_in_executor(self._executor, call)
 
+    async def _run_write(self, fn: Callable[..., Any], *args: Any) -> Any:
+        """:meth:`_run` for a write frame.  On a ``sync`` tenant the worker
+        is announced to group commit before the executor hop and retired
+        when the job ends (the commit point already retires it unless the
+        write failed); inside an open transaction the worker is already
+        announced."""
+        wal, worker = self._group_wal, self._worker
+        if wal is None or worker is None or not wal.announce(worker):
+            return await self._run(fn, *args)
+
+        def job() -> Any:
+            try:
+                return fn(*args)
+            finally:
+                wal.retire(worker)
+
+        try:
+            return await self._run(job)
+        except BaseException:
+            wal.retire(worker)  # the job may never have run
+            raise
+
+    def _read(self, read: Callable[[Any], list[Any]]) -> Callable[[], list[Any]]:
+        """A worker job applying ``read`` to what this connection may see:
+        its own open transaction's live store (this worker holds the writer
+        lock), otherwise a snapshot of the committed store — iterating the
+        live store beside another connection's writer is unsafe."""
+        store = self._require_store()
+        if self._txns:
+            return lambda: read(store)
+
+        def job() -> list[Any]:
+            with store.snapshot() as snapshot:
+                return read(snapshot)
+
+        return job
+
     @contextlib.asynccontextmanager
     async def _admit(self) -> AsyncIterator[None]:
         inflight = self.server._inflight
@@ -361,6 +420,7 @@ class _Connection:
             self.server.registry.release(self.tenant)
             self.tenant = None
             self.store = None
+            self._group_wal = None
 
 
 # -- operation handlers ------------------------------------------------------
@@ -394,15 +454,22 @@ async def _op_open(
     shards = message.get("shards")
     spread = tuple(message.get("spread") or ())
     registry = conn.server.registry
-    store = await conn._run(
-        registry.lease,
-        tenant,
-        str(schema) if schema is not None else None,
-        int(shards) if shards is not None else None,
-        spread,
-    )
+
+    def lease() -> tuple[int, StoreAPI]:
+        store = registry.lease(
+            tenant,
+            str(schema) if schema is not None else None,
+            int(shards) if shards is not None else None,
+            spread,
+        )
+        return threading.get_ident(), store
+
+    conn._worker, store = await conn._run(lease)
     previous = conn.tenant
     conn.tenant, conn.store = tenant, store
+    # A plain store exposes its log; a sharded one announces per core.
+    wal = getattr(store, "wal", None)
+    conn._group_wal = wal if wal is not None and wal.sync else None
     if previous is not None:
         registry.release(previous)
     return {
@@ -420,7 +487,7 @@ async def _op_insert(
 
     store = conn._require_store()
     state = decode_state(dict(message.get("state") or {}))
-    obj = await conn._run(store.insert, str(message["class"]), state)
+    obj = await conn._run_write(store.insert, str(message["class"]), state)
     return {"object": protocol.encode_object(obj)}, True
 
 
@@ -431,7 +498,7 @@ async def _op_update(
 
     store = conn._require_store()
     changes = decode_state(dict(message.get("changes") or {}))
-    obj = await conn._run(
+    obj = await conn._run_write(
         functools.partial(store.update, str(message["oid"]), **changes)
     )
     return {"object": protocol.encode_object(obj)}, True
@@ -441,7 +508,7 @@ async def _op_delete(
     conn: _Connection, message: dict[str, Any]
 ) -> tuple[dict[str, Any], bool]:
     store = conn._require_store()
-    await conn._run(store.delete, str(message["oid"]))
+    await conn._run_write(store.delete, str(message["oid"]))
     return {}, True
 
 
@@ -456,16 +523,17 @@ async def _op_get(
 async def _op_extent(
     conn: _Connection, message: dict[str, Any]
 ) -> tuple[dict[str, Any], bool]:
-    store = conn._require_store()
     class_name = message.get("class")
-    if class_name is None:
-        # A null class asks for every object in the store (the client's
-        # ``objects()``); order matches the embedded iteration order.
-        objects = await conn._run(lambda: list(store.objects()))
-    else:
-        objects = await conn._run(
-            store.extent, str(class_name), bool(message.get("deep", True))
-        )
+    deep = bool(message.get("deep", True))
+
+    def read(view: Any) -> list[Any]:
+        if class_name is None:
+            # A null class asks for every object in the store (the
+            # client's ``objects()``), in the embedded iteration order.
+            return sorted(view.objects(), key=lambda obj: oid_sort_key(obj.oid))
+        return view.extent(str(class_name), deep)
+
+    objects = await conn._run(conn._read(read))
     return {"objects": [protocol.encode_object(obj) for obj in objects]}, True
 
 
@@ -474,7 +542,6 @@ async def _op_query(
 ) -> tuple[dict[str, Any], bool]:
     """Server-side filtered extent: attribute-equality ``where`` plus an
     optional ``limit`` — enough to keep chatty scans off the wire."""
-    store = conn._require_store()
     class_name = str(message["class"])
     deep = bool(message.get("deep", True))
     where = {
@@ -483,16 +550,16 @@ async def _op_query(
     }
     limit = message.get("limit")
 
-    def scan() -> list[Any]:
+    def scan(view: Any) -> list[Any]:
         matches = []
-        for obj in store.extent(class_name, deep):
+        for obj in view.extent(class_name, deep):
             if all(obj.state.get(name) == value for name, value in where.items()):
                 matches.append(obj)
                 if limit is not None and len(matches) >= int(limit):
                     break
         return matches
 
-    objects = await conn._run(scan)
+    objects = await conn._run(conn._read(scan))
     return {"objects": [protocol.encode_object(obj) for obj in objects]}, True
 
 

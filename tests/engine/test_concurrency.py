@@ -18,6 +18,7 @@ Threaded tests carry the ``concurrency`` marker so CI can run them as a
 dedicated job (``pytest -m concurrency``).
 """
 
+import sys
 import threading
 import time
 from pathlib import Path
@@ -413,9 +414,253 @@ class TestGroupCommit:
             store.insert("Item", name=f"solo{i}", price=1.0)
         per_commit = (time.perf_counter() - started) / 20
         store.close()
-        # A lone committer must fsync immediately: no 1ms-scale batching
-        # window on its latency (generous bound for slow CI filesystems).
+        # A lone committer must fsync immediately: no group-commit wait on
+        # its latency (generous bound for slow CI filesystems).
         assert per_commit < 0.05
+
+
+TWO_SHARD_SOURCE = """
+Database TwoShards
+
+Class Alpha
+attributes
+  code : string
+end Alpha
+
+Class Beta
+attributes
+  code : string
+end Beta
+"""
+
+
+def _wait_until(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.001)
+    return True
+
+
+@pytest.mark.concurrency
+class TestGroupCommitLeader:
+    """The leader waits for announced committers, never for the clock: a
+    lone committer never waits, and a waiting leader is released by the
+    last announced commit point, by poison, and by a writer-lock holder
+    blocked in the log.  Tests that need a leader to stay waiting raise
+    the cap far above their own timeouts, so only the event under test
+    can release it."""
+
+    @pytest.fixture
+    def long_cap(self, monkeypatch):
+        from repro.engine import wal as wal_module
+
+        monkeypatch.setattr(wal_module, "GROUP_WAIT_CAP", 60.0)
+
+    def _open(self, tmp_path):
+        return ObjectStore.open(
+            tmp_path / "db",
+            parse_database(SCHEMA_SOURCE),
+            sync=True,
+            checkpoint_every=0,
+        )
+
+    def _leader(self, store, outcome):
+        """Start a committer that becomes the fsync leader and waits."""
+        waits = store.wal.telemetry.get("group_waits", 0)
+
+        def commit():
+            try:
+                store.insert("Item", name="leader", price=1.0)
+                outcome.append("committed")
+            except BaseException as exc:
+                outcome.append(exc)
+
+        thread = threading.Thread(target=commit, daemon=True)
+        thread.start()
+        assert _wait_until(
+            lambda: store.wal.telemetry.get("group_waits", 0) > waits
+        ), "the leader never waited for the announced committer"
+        return thread
+
+    def test_solo_embedded_commits_never_wait(self, tmp_path):
+        store = self._open(tmp_path)
+        for i in range(5):
+            store.insert("Item", name=f"solo{i}", price=1.0)
+        with store.transaction():
+            store.insert("Item", name="txn", price=1.0)
+        item = store.insert("Item", name="gone", price=1.0)
+        store.update(item, price=2.0)
+        store.delete(item)
+        assert store.wal.fsyncs == store.wal.sync_commits
+        assert store.wal.telemetry.get("group_waits", 0) == 0
+        store.close()
+
+    def test_solo_cross_shard_commit_never_waits(self, tmp_path):
+        from repro.engine import ShardedStore
+
+        store = ShardedStore.open(
+            tmp_path / "sharded", parse_database(TWO_SHARD_SOURCE), 2, sync=True
+        )
+        assert store.placement["Alpha"] != store.placement["Beta"]
+        for i in range(3):
+            with store.transaction():
+                store.insert("Alpha", code=f"a{i}")
+                store.insert("Beta", code=f"b{i}")
+        assert store.two_phase_commits == 3
+        # Prepare, decide and resolve all wait with the core locks held; a
+        # leader counting the transaction itself (or anyone queued behind
+        # its locks) would wait out the cap at every one of them.
+        for core in store.cores:
+            assert core.wal.telemetry.get("group_waits", 0) == 0
+        store.close()
+
+    def test_leader_waits_for_an_announced_committer(self, tmp_path, long_cap):
+        store = self._open(tmp_path)
+        store.insert("Item", name="warm", price=1.0)
+        fsyncs = store.wal.fsyncs
+        go = threading.Event()
+        outcome = []
+
+        def follower():
+            store.wal.announce()  # on its way in, not yet at the lock
+            go.wait(10)
+            store.insert("Item", name="follower", price=1.0)
+            outcome.append("committed")
+
+        thread = threading.Thread(target=follower, daemon=True)
+        thread.start()
+        assert _wait_until(lambda: len(store.wal._announced) == 1)
+        leader = self._leader(store, outcome)
+        go.set()
+        thread.join(10)
+        leader.join(10)
+        assert not leader.is_alive() and not thread.is_alive()
+        assert outcome == ["committed", "committed"]
+        # The follower's commit point released the leader, whose single
+        # fsync covered both commits.
+        assert store.wal.fsyncs == fsyncs + 1
+        store.close()
+
+    def test_poison_wakes_a_waiting_leader(self, tmp_path, long_cap):
+        from repro.errors import StorePoisonedError
+
+        store = self._open(tmp_path)
+        fsyncs = store.wal.fsyncs
+        blocker = threading.Thread(target=store.wal.announce, daemon=True)
+        blocker.start()
+        blocker.join(10)  # announced for good: it never commits
+        outcome = []
+        leader = self._leader(store, outcome)
+        store.wal.poison("test: fail-stop while a leader waits")
+        leader.join(10)
+        assert not leader.is_alive(), "poisoned leader kept waiting"
+        assert len(outcome) == 1
+        assert isinstance(outcome[0], StorePoisonedError)
+        assert store.wal.fsyncs == fsyncs  # never claimed durability
+        store.close()
+
+    def test_close_returns_while_committers_queue_on_the_lock(
+        self, tmp_path, long_cap
+    ):
+        store = self._open(tmp_path)
+        go = threading.Event()
+        outcome = []
+
+        def queued():
+            store.wal.announce()
+            go.wait(10)
+            try:
+                store.insert("Item", name="queued", price=1.0)
+                outcome.append("committed")
+            except BaseException as exc:
+                outcome.append(exc)
+
+        thread = threading.Thread(target=queued, daemon=True)
+        thread.start()
+        assert _wait_until(lambda: len(store.wal._announced) == 1)
+        leader = self._leader(store, outcome)
+        closed = threading.Event()
+
+        def close():
+            with store._lock:
+                go.set()  # the announced committer now queues on the lock
+                time.sleep(0.05)
+                store.close()
+            closed.set()
+
+        closer = threading.Thread(target=close, daemon=True)
+        closer.start()
+        # close() drains the waiting leader while holding the writer lock
+        # the announced committer queues on; the drain must release the
+        # leader instead of waiting out its cap.
+        assert closed.wait(10), "close() waited out the group-commit cap"
+        leader.join(10)
+        thread.join(10)
+        assert not leader.is_alive() and not thread.is_alive()
+        assert outcome == ["committed", "committed"]
+        assert store.wal.telemetry.get("group_waits", 0) == 1
+        store.close()
+
+    def test_announcements_balance_under_contention(self, tmp_path):
+        """More committers than cores, a tiny switch interval, and every
+        way a write can leave: autocommits, rejected writes, committed and
+        aborted transactions.  Afterwards no announcement, lock-holder
+        registration or ticket may be left behind (a leaked announcement
+        would make every later leader wait out the cap), and recovery
+        holds exactly the accepted commits."""
+        store = self._open(tmp_path)
+        accepted = []
+        failures = []
+
+        def committer(slot):
+            try:
+                for i in range(12):
+                    name = f"c{slot}-{i}"
+                    if i % 4 == 1:
+                        with pytest.raises(ConstraintViolation):
+                            store.insert("Item", name=name, price=-1.0)
+                    elif i % 4 == 2:
+                        with store.transaction():
+                            store.insert("Item", name=name, price=1.0)
+                        accepted.append(name)
+                    elif i % 4 == 3:
+                        with pytest.raises(RuntimeError):
+                            with store.transaction():
+                                store.insert("Item", name=name, price=1.0)
+                                raise RuntimeError("abort")
+                    else:
+                        store.insert("Item", name=name, price=1.0)
+                        accepted.append(name)
+            except BaseException as exc:
+                failures.append(exc)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=committer, args=(slot,), daemon=True)
+                for slot in range(6)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures, failures[0]
+        wal = store.wal
+        assert wal._announced == set()
+        assert wal._lock_holders == 0
+        assert wal._pending_syncs == 0
+        store.close()
+        recovered = ObjectStore.open(tmp_path / "db")
+        assert sorted(obj.state["name"] for obj in recovered.objects()) == sorted(
+            accepted
+        )
+        recovered.close()
 
 
 class TestDurableSchemaChanges:

@@ -10,6 +10,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -174,6 +175,123 @@ def test_shutdown_checkpoints_durable_tenants(tmp_path, servlab_source):
         assert reopened.audit() == []
     finally:
         reopened.close()
+
+
+# -- reads beside a writer ----------------------------------------------------
+
+
+class _PausingObjects(dict):
+    """A tenant store's live object map that parks the first read made
+    *without* the store's writer lock mid-iteration, so a test can commit
+    a write from another connection exactly inside that read."""
+
+    def __init__(self, objects, lock):
+        super().__init__(objects)
+        self.lock = lock
+        self.armed = threading.Event()
+        self.paused = threading.Event()
+        self.resume = threading.Event()
+
+    def _maybe_pause(self):
+        if self.armed.is_set() and not self.lock._is_owned():
+            self.armed.clear()
+            self.paused.set()
+            self.resume.wait(10)
+
+    def __getitem__(self, oid):
+        self._maybe_pause()
+        return super().__getitem__(oid)
+
+    def values(self):
+        view = super().values()
+
+        def iterate():
+            for index, obj in enumerate(view):
+                yield obj
+                if index == 0:
+                    self._maybe_pause()
+
+        return iterate()
+
+
+@pytest.mark.parametrize("read", ["extent", "query", "objects"])
+def test_reads_beside_a_writer_see_a_committed_snapshot(servlab_source, read):
+    """``extent``/``query``/``objects()`` must not iterate the live store
+    while another connection's worker writes it (that raised ``dictionary
+    changed size during iteration``): the read is parked inside any live
+    iteration done off the writer lock while a second connection commits."""
+    thread = ServerThread(ServerConfig(idle_timeout=0.0))
+    address = thread.start()
+    reader = connect(address, tenant="race", schema=servlab_source)
+    writer = connect(address, tenant="race")
+    try:
+        for name in ("a", "b", "c"):
+            writer.insert("Alpha", name=name, score=1)
+        expected = ["a", "b", "c"]
+        store = thread.server.registry.lease("race")
+        thread.server.registry.release("race")
+        live = _PausingObjects(store._objects, store._lock)
+        store._objects = live
+        outcome = []
+        progress = threading.Event()
+
+        def do_read():
+            try:
+                if read == "extent":
+                    objs = reader.extent("Alpha")
+                elif read == "query":
+                    objs = reader.query("Alpha", where={"score": 1})
+                else:
+                    objs = list(reader.objects())
+                outcome.append([obj.state["name"] for obj in objs])
+            except Exception as exc:
+                outcome.append(exc)
+            finally:
+                progress.set()
+
+        live.armed.set()
+        reading = threading.Thread(target=do_read, daemon=True)
+        reading.start()
+        assert _wait_until(lambda: progress.is_set() or live.paused.is_set())
+        writer.insert("Alpha", name="d", score=1)  # inside the read, if parked
+        live.resume.set()
+        reading.join(10)
+        assert outcome == [expected]
+        assert not live.paused.is_set(), "read iterated the live store"
+        # The new commit is visible to the next read.
+        assert [obj.state["name"] for obj in reader.extent("Alpha")] == [
+            *expected,
+            "d",
+        ]
+    finally:
+        reader.close()
+        writer.close()
+        thread.stop()
+
+
+def test_reads_inside_a_transaction_see_its_own_writes(
+    server, servlab_source, fresh_tenant
+):
+    tenant = fresh_tenant()
+    mine = connect(server, tenant=tenant, schema=servlab_source)
+    other = connect(server, tenant=tenant)
+    try:
+        mine.insert("Alpha", name="base", score=1)
+        with mine.transaction():
+            mine.insert("Alpha", name="pending", score=1)
+            assert [obj.state["name"] for obj in mine.extent("Alpha")] == [
+                "base",
+                "pending",
+            ]
+            assert len(mine.query("Alpha", where={"score": 1})) == 2
+            assert len(list(mine.objects())) == 2
+        assert [obj.state["name"] for obj in other.extent("Alpha")] == [
+            "base",
+            "pending",
+        ]
+    finally:
+        mine.close()
+        other.close()
 
 
 # -- disconnect handling -----------------------------------------------------
