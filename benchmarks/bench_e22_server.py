@@ -5,9 +5,11 @@ asyncio front end funnels each connection's operations onto a dedicated
 worker thread, so concurrent client commits land on the engine exactly
 like concurrent embedded threads do — and share the WAL's group commit
 (see :mod:`repro.engine.wal`).  Each decoded write frame announces itself
-to group commit before it reaches the engine; the fsync leader waits, at
-most 1ms, only while announced commits have yet to flush.  This benchmark
-records what the funnel delivers on a durable ``sync=True`` tenant:
+to group commit before it reaches the engine; the fsync leader waits only
+while announced commits — and, once a batch has served several
+connections, those connections' next commits — have yet to flush, and
+never once 1ms passes without a commit.  This benchmark records what the
+funnel delivers on a durable ``sync=True`` tenant:
 
 * ``commit latency`` — p50/p99 wall time of an autocommit insert as seen
   by the client, at 1, 4 and 16 concurrent connections.  The p50 at one
@@ -17,7 +19,7 @@ records what the funnel delivers on a durable ``sync=True`` tenant:
 * ``fsyncs per commit`` — the coalescing gate.  A lone connection pays
   one fsync per commit by design (nobody else is announced, so its leader
   never waits).  At **16 connections** the leader must wait for enough
-  announced commits that the server issues **≤ 0.2 fsyncs per commit**
+  concurrent commits that the server issues **≤ 0.2 fsyncs per commit**
   (≥ 5 commits retired per fsync) — the property that makes a shared
   server cheaper per commit than 16 embedded single-writer stores.
 

@@ -110,6 +110,9 @@ class _ObjectVersion:
         self.class_name = class_name
         self.state = state
 
+    def visible_at(self, version: int) -> bool:
+        return self.born <= version and (self.died is None or self.died > version)
+
 
 class SnapshotObject:
     """An immutable object as seen by one :class:`Snapshot`.
@@ -178,13 +181,10 @@ class Snapshot:
         chain = self._control._history.get(oid)
         if chain is None:
             return None
-        version = self.version
         # Newest last; scan backwards — the hit is almost always the head.
-        # (The writer only appends; GC replaces whole lists.)
-        for record in reversed(chain):
-            if record.born <= version and (
-                record.died is None or record.died > version
-            ):
+        for index in range(len(chain) - 1, -1, -1):
+            record = chain[index]
+            if record.visible_at(self.version):
                 return record
         return None
 
@@ -242,9 +242,7 @@ class Snapshot:
             schema.subclass_closure(class_name) if deep else (class_name,)
         )
         members = self._control._class_members
-        keys = self._control._sort_keys
-        lookup = self._lookup
-        results: list[SnapshotObject] = []
+        results: list[tuple[tuple[int, str], SnapshotObject]] = []
         for name in names:
             oids = members.get(name)
             if not oids:
@@ -252,20 +250,16 @@ class Snapshot:
             # list() of a list is a single C-level copy: atomic under the
             # GIL even while the writer appends to the original.
             for oid in list(oids):
-                record = lookup(oid)
+                record = self._lookup(oid)
                 if record is not None and record.class_name == name:
-                    results.append(SnapshotObject(oid, name, record.state))
-
-        def sort_key(obj: SnapshotObject) -> tuple[int, int, str]:
-            # Parsed once per oid for the history's lifetime: parsing is
-            # most of a large extent's cost.
-            key = keys.get(obj.oid)
-            if key is None:
-                key = keys[obj.oid] = oid_sort_key(obj.oid)
-            return key
-
-        results.sort(key=sort_key)
-        return results
+                    results.append(
+                        (
+                            oid_sort_key(oid),
+                            SnapshotObject(oid, record.class_name, record.state),
+                        )
+                    )
+        results.sort(key=lambda pair: pair[0])
+        return [obj for _, obj in results]
 
     def objects(self) -> Iterator[SnapshotObject]:
         """Every object visible at this version (arbitrary order)."""
@@ -304,9 +298,6 @@ class ConcurrencyControl:
         #: between compactions, so readers can copy it atomically).
         self._class_members: dict[str, list[str]] = {}
         self._member_index: dict[str, set[str]] = {}
-        #: oid → ``oid_sort_key(oid)``, filled by readers on first use and
-        #: pruned with the oid's history.
-        self._sort_keys: dict[str, tuple[int, int, str]] = {}
         #: Dead oids per class since the last member compaction.
         self._member_dead: dict[str, int] = {}
         #: Version → live snapshot count (guarded by ``_registry_lock``).
@@ -432,7 +423,6 @@ class ConcurrencyControl:
             ]
             if not live:
                 del self._history[oid]
-                self._sort_keys.pop(oid, None)
                 continue
             if len(live) != len(chain):
                 self._history[oid] = live

@@ -1227,16 +1227,16 @@ class _ShardedTransaction:
             # record must never outrun a participant's prepared ops.  Every
             # wait below runs with the participants' writer locks held, so
             # the group-commit leader must not wait for committers queued
-            # behind them (holding_lock=True).
+            # behind them (wait_durable's default holding_lock=True).
             for store, ticket in tickets:
                 if ticket is not None:
-                    store._wal.wait_durable(ticket, holding_lock=True)
+                    store._wal.wait_durable(ticket)
             coordinator = durable[0].store
             decide_attempted = True
             coordinator._wal.log_decide(gid, True)
             ticket = coordinator._wal.commit_flush()
             if ticket is not None:
-                coordinator._wal.wait_durable(ticket, holding_lock=True)
+                coordinator._wal.wait_durable(ticket)
         except BaseException:
             if not decide_attempted:
                 # No decide record can exist on any shard yet, so presumed
@@ -1283,7 +1283,7 @@ class _ShardedTransaction:
                     # Resolve durability before releasing: once every
                     # participant's resolve is down, any later checkpoint
                     # may safely fold the coordinator's decide away.
-                    txn.store._wal.wait_durable(ticket, holding_lock=True)
+                    txn.store._wal.wait_durable(ticket)
             except BaseException:
                 pass  # the durable decide already fixes the outcome
             txn.finish_prepared(True)

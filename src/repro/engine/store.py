@@ -898,12 +898,20 @@ class ObjectStore:
     def _announce(self) -> "WriteAheadLog | None":
         """Announce the calling thread to group commit before it queues for
         the writer lock (``sync`` logs only — other modes keep no
-        bookkeeping).  Returns the log when the caller owes a
-        :meth:`WriteAheadLog.retire` once the lock is released; the commit
-        point itself retires the thread, so the call only matters when the
-        write fails or commits nothing."""
+        bookkeeping).  A thread that already holds the lock is not
+        announced: its write is part of a transaction (which announces at
+        commit) or of a router operation that waits as a lock holder.
+        Returns the log when the caller owes a :meth:`WriteAheadLog.retire`
+        once the lock is released; the commit point itself retires the
+        thread, so the call only matters when the write fails or commits
+        nothing."""
         wal = self._wal
-        if wal is not None and wal.sync and wal.announce():
+        if (
+            wal is not None
+            and wal.sync
+            and not self._lock._is_owned()
+            and wal.announce()
+        ):
             return wal
         return None
 

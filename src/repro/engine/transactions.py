@@ -44,9 +44,10 @@ no reader of the *live* store can interleave with a half-applied
 transaction.  Concurrent readers go through ``store.snapshot()`` instead,
 which never takes the lock; the outermost commit publishes its touched set
 to the snapshot history before releasing.  On ``sync=True`` durable stores
-a transaction announces itself to group commit before it queues for the
-lock, and the commit's fsync is awaited *after* the lock is released, so
-concurrent committers coalesce into one fsync (group commit).
+an outermost commit announces itself to group commit (not the begin: the
+body may sit idle holding the lock), and the commit's fsync is awaited
+*after* the lock is released, so concurrent committers coalesce into one
+fsync (group commit).
 """
 
 from __future__ import annotations
@@ -78,13 +79,9 @@ class Transaction:
         #: Durability ticket of this transaction's abort marker, when an
         #: exit path raised after flushing one; redeemed best-effort.
         self._abort_ticket: "int | None" = None
-        #: The log this transaction announced itself to (group commit),
-        #: owed a retire once the writer lock is released.
-        self._announced = None
 
     def __enter__(self) -> "Transaction":
         store = self.store
-        self._announced = store._announce()
         # The writer lock is held from here until __exit__ returns: the
         # transaction IS the writer for its whole extent.
         store._lock.acquire()
@@ -112,25 +109,28 @@ class Transaction:
                 store._delta = MutationDelta()
         except BaseException:
             store._lock.release()
-            self._retire()
             raise
         return self
 
-    def _retire(self) -> None:
-        """Withdraw this transaction's group-commit announcement (a no-op
-        once its commit point retired it)."""
-        if self._announced is not None:
-            self._announced.retire()
-            self._announced = None
-
     def __exit__(self, exc_type, exc, tb) -> bool:
         store = self.store
+        wal = store._wal
+        # An outermost commit is about to reach its commit point: announce
+        # it, so a leader gathering meanwhile waits for it.
+        announced = (
+            exc_type is None
+            and not self._was_deferred
+            and wal is not None
+            and wal.sync
+            and wal.announce()
+        )
         ticket = None
         try:
             ticket = self._exit_locked(exc_type)
         finally:
             store._lock.release()
-            self._retire()
+            if announced:
+                wal.retire()  # a no-op once the commit point retired it
             if self._abort_ticket is not None:
                 # A raising exit path (commit-time violation) flushed an
                 # abort marker: redeem its ticket best-effort — recovery
@@ -269,7 +269,6 @@ class Transaction:
         finally:
             self._prepared_undo = None
             store._lock.release()
-            self._retire()
 
     def _publish(self, undo: dict) -> None:
         """Thread the committed touched set into the snapshot history: the

@@ -116,19 +116,31 @@ flushed before its fsync starts are covered by it and return without
 issuing their own.  One fsync thus retires many commits (the
 ``fsyncs``/``sync_commits`` counters expose the ratio).
 
-The leader waits for committers, not for the clock.  A ``sync`` committer
-**announces** itself (:meth:`WriteAheadLog.announce`) when its write
-enters the engine — the store does so before taking its writer lock, the
-server when it decodes a write frame — and leaves the announced set at its
-commit point (the ticket issue) or when it gives up.  Before it fsyncs, the
-leader waits on the condition only while announced committers have not yet
-reached their commit point, and never longer than :data:`GROUP_WAIT_CAP`.
-So a lone committer fsyncs at once, and a leader under load stops waiting
-the moment the last announced committer has flushed.  A waiter that still
-holds the owning store's writer lock (two-phase commit, recovery resolve,
-``close()``) never waits for announced committers — they are queued behind
-its lock — and makes any waiting leader fsync at once
-(``wait_durable(holding_lock=True)``).
+The leader waits for committers, not for the clock.  It waits for two
+kinds of committer that have not yet reached their commit point (the
+ticket issue):
+
+* **announced** ones (:meth:`WriteAheadLog.announce`): a ``sync``
+  committer announces itself when its write enters the engine — a store
+  write before it takes the writer lock, a transaction as its outermost
+  commit begins, the server when it decodes a write frame — and leaves
+  the set at its commit point or when it gives up;
+* **regulars**: when an fsync covers at least :data:`BUSY_BATCH`
+  committers the log is busy, and those committers become regulars, which
+  every leader waits for until they are in its batch.  A smaller batch
+  means the load is gone and clears them.
+
+The leader stops waiting the moment nobody it waits for is left, or once
+a whole :data:`GROUP_WAIT_CAP` passes without any committer reaching its
+commit point — whoever is still awaited then is stalled or idle, and
+regulars that missed the cap are dropped.  So a lone committer (or a
+pair, which pipelines its fsyncs better than it batches them) fsyncs at
+once, and under load one fsync retires a whole wave of committers however
+slowly the host runs them: each one only has to follow the previous one
+within the cap.  A waiter that still holds the owning store's writer lock
+(two-phase commit, recovery resolve, ``close()``) never waits for other
+committers — they are queued behind its lock — and makes any waiting
+leader fsync at once (``wait_durable(holding_lock=True)``).
 
 Failure model
 -------------
@@ -165,6 +177,7 @@ nothing locks the directory itself against other processes.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -173,7 +186,7 @@ import time
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from typing import Any, TYPE_CHECKING
 
 from repro.engine.faults import (
@@ -198,9 +211,12 @@ SNAPSHOT_FORMAT = 1
 #: :meth:`WriteAheadLog.poison`.
 _RETRY_ATTEMPTS = 3
 _RETRY_BACKOFF = 0.001
-#: Longest an fsync leader waits for announced committers to reach their
-#: commit point (seconds).
+#: An fsync leader stops waiting for other committers once this long
+#: passes without any of them reaching its commit point (seconds).
 GROUP_WAIT_CAP = 0.001
+#: An fsync covering at least this many committers marks the log busy: the
+#: committers it covered become regulars, whom the next leaders wait for.
+BUSY_BATCH = 4
 
 _OPS = ("insert", "update", "delete")
 
@@ -803,10 +819,11 @@ class WriteAheadLog:
 
     Under concurrent committers, ``sync=True`` commits coalesce through
     group commit (see the module docstring): committers :meth:`announce`
-    themselves on the way in, and the fsync leader waits — at most
-    :data:`GROUP_WAIT_CAP` — only while announced committers have yet to
-    reach their commit point, so one fsync covers them all.  A lone
-    committer never waits.
+    themselves on the way in, a busy log waits for its regular committers
+    too, and the fsync leader waits only while such committers have yet to
+    reach their commit point and keep reaching it within
+    :data:`GROUP_WAIT_CAP` of each other, so one fsync covers them all.  A
+    lone committer never waits.
     """
 
     def __init__(
@@ -829,7 +846,7 @@ class WriteAheadLog:
         #: Classified-error, degraded-path and group-commit counters: keys
         #: like ``dir_fsync_unsupported``, ``dir_fsync_retries``,
         #: ``replace_retries``, ``abort_markers_skipped`` and
-        #: ``group_waits`` (fsync leaders that waited for announced
+        #: ``group_waits`` (fsync leaders that waited for other
         #: committers).
         self.telemetry: dict[str, int] = {}
         self._handle = None
@@ -852,11 +869,17 @@ class WriteAheadLog:
         #: Idents of announced committer threads that have not yet reached
         #: their commit point; the leader waits while this is non-empty.
         self._announced: set[int] = set()
+        #: Idents of the committers seen in busy batches since the load
+        #: last dropped; the leader waits for those not yet in its batch.
+        self._regulars: set[int] = set()
+        #: Idents that reached their commit point since the last leader
+        #: took its cover — the batch its successor's fsync will retire.
+        self._batch: set[int] = set()
         #: Waiters that hold the owning store's writer lock: while any is
-        #: blocked here, announced committers cannot progress, so leaders
-        #: stop waiting for them.
+        #: blocked here, other committers cannot progress, so leaders stop
+        #: waiting for them.
         self._lock_holders = 0
-        #: True while a leader waits for announced committers.
+        #: True while a leader waits for other committers.
         self._gathering = False
         #: Telemetry: fsyncs issued by the group path / sync commit points.
         self.fsyncs = 0
@@ -1016,15 +1039,9 @@ class WriteAheadLog:
         # also requires — so the drain counts as a lock holder, and a
         # leader waiting for committers queued behind that lock fsyncs
         # at once instead.
-        with self._sync_cond:
-            self._lock_holders += 1
-            if self._gathering:
-                self._sync_cond.notify_all()
-            try:
-                while self._syncing or self._pending_syncs > 0:
-                    self._sync_cond.wait()
-            finally:
-                self._lock_holders -= 1
+        with self._holding_lock(), self._sync_cond:
+            while self._syncing or self._pending_syncs > 0:
+                self._sync_cond.wait()
         if self._handle is not None:
             try:
                 if self._poisoned is None:
@@ -1113,7 +1130,9 @@ class WriteAheadLog:
             self._pending_syncs += 1
             # The commit point: this committer's records are flushed, so a
             # leader waiting for it may now fsync them.
-            self._retire_locked(threading.get_ident())
+            ident = threading.get_ident()
+            self._batch.add(ident)
+            self._retire_locked(ident)
         return ticket
 
     def announce(self, ident: "int | None" = None) -> bool:
@@ -1122,8 +1141,8 @@ class WriteAheadLog:
 
         Returns whether the thread was newly announced — only then does
         the caller owe a :meth:`retire` when it gives up before its commit
-        point (a nested write inside an announced transaction, or a write
-        the server already announced, owes nothing).  Only meaningful on
+        point (a transaction commit or write the server already announced
+        owes nothing).  Only meaningful on
         ``sync`` logs; callers skip it otherwise."""
         if ident is None:
             ident = threading.get_ident()
@@ -1143,30 +1162,63 @@ class WriteAheadLog:
             self._retire_locked(ident)
 
     def _retire_locked(self, ident: int) -> None:
-        announced = self._announced
-        if ident in announced:
-            announced.discard(ident)
-            if self._gathering and not announced:
-                self._sync_cond.notify_all()
+        self._announced.discard(ident)
+        if self._gathering and not self._awaited_locked():
+            self._sync_cond.notify_all()
+
+    def _awaited_locked(self) -> bool:
+        """Whether a committer the leader waits for has yet to reach its
+        commit point: an announced one, or a regular not yet in the
+        batch."""
+        return bool(self._announced) or not self._regulars <= self._batch
 
     def _gather_locked(self) -> None:
-        """Leader, under the condition lock: wait while announced
-        committers have not reached their commit point, no writer-lock
-        holder is blocked here, and the log is healthy — at most
-        :data:`GROUP_WAIT_CAP`."""
-        if not self._announced or self._lock_holders:
+        """Leader, under the condition lock: wait while announced or
+        regular committers have not reached their commit point, some
+        committer reached one within the last :data:`GROUP_WAIT_CAP`, no
+        writer-lock holder is blocked here, and the log is healthy."""
+        if self._lock_holders or not self._awaited_locked():
             return
         _count(self.telemetry, "group_waits")
         deadline = time.monotonic() + GROUP_WAIT_CAP
+        arrived = len(self._batch)
         self._gathering = True
         try:
-            while self._announced and not self._lock_holders and self._poisoned is None:
+            while (
+                self._awaited_locked()
+                and not self._lock_holders
+                and self._poisoned is None
+            ):
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
-                    break
+                    if len(self._batch) == arrived:
+                        # A whole cap without a commit point: whoever is
+                        # still awaited is stalled or idle.  Regulars that
+                        # missed it are not waited for again.
+                        self._regulars &= self._batch
+                        break
+                    arrived = len(self._batch)
+                    deadline = time.monotonic() + GROUP_WAIT_CAP
+                    continue
                 self._sync_cond.wait(remaining)
         finally:
             self._gathering = False
+
+    @contextlib.contextmanager
+    def _holding_lock(self) -> Iterator[None]:
+        """Register the caller as a waiter that holds the owning store's
+        writer lock.  Other committers are queued behind that lock, so no
+        leader waits for them meanwhile, and a waiting leader fsyncs at
+        once."""
+        with self._sync_cond:
+            self._lock_holders += 1
+            if self._gathering:
+                self._sync_cond.notify_all()
+        try:
+            yield
+        finally:
+            with self._sync_cond:
+                self._lock_holders -= 1
 
     def abandon_ticket(self, ticket: "int | None") -> None:
         """Release an issued ticket without waiting for durability (the
@@ -1182,18 +1234,19 @@ class WriteAheadLog:
     def wait_durable(self, ticket: int, holding_lock: bool = True) -> None:
         """Block until every record with ``lsn < ticket`` is fsynced.
 
-        The first waiter becomes the leader: it waits for announced
-        committers that have not yet reached their commit point (at most
-        :data:`GROUP_WAIT_CAP`; not at all when none are announced), issues
-        one fsync, and wakes everyone it covered.  Later waiters piggyback.
+        The first waiter becomes the leader: it waits for announced and
+        regular committers that have not yet reached their commit point
+        (not at all when there are none, and only while they keep reaching
+        it within :data:`GROUP_WAIT_CAP`), issues one fsync, and wakes
+        everyone it covered.  Later waiters piggyback.
         Callers must not hold locks an fsync leader could need.
 
         ``holding_lock`` says whether the caller still holds the owning
         store's writer lock — the default, because it is the safe
-        assumption.  Announced committers are then queued behind the
-        caller's lock and cannot reach their commit point, so such a
-        waiter never waits for them as leader, and while it waits as a
-        follower every leader stops waiting for them too.  Only the
+        assumption.  Other committers are then queued behind the caller's
+        lock and cannot reach their commit point, so such a waiter never
+        waits for them as leader, and while it waits as a follower every
+        leader stops waiting for them too.  Only the
         store's own commit path, which releases its writer lock first,
         passes ``False``.
 
@@ -1204,84 +1257,92 @@ class WriteAheadLog:
         :class:`~repro.errors.StorePoisonedError`; every follower waiting
         on the same batch — and every committer arriving later — fails the
         same way instead of hanging or falsely reporting durability.  A
-        leader still waiting for announced committers when the log is
-        poisoned fails the same way.  Followers whose ticket was already
-        covered by an earlier completed fsync still succeed: their
-        durability was provided before the failure.
+        leader still waiting for other committers when the log is poisoned
+        fails the same way.  Followers whose ticket was already covered by
+        an earlier completed fsync still succeed: their durability was
+        provided before the failure.
         """
         try:
-            if holding_lock:
-                with self._sync_cond:
-                    self._lock_holders += 1
-                    if self._gathering:
-                        self._sync_cond.notify_all()
-            while True:
-                with self._sync_cond:
-                    # Order matters: a ticket the disk already covered is
-                    # durable regardless of any later poisoning.
-                    if self._synced_lsn >= ticket:
-                        return
-                    if self._poisoned is not None:
-                        raise self._durability_lost()
-                    if self._syncing:
-                        self._sync_cond.wait()
-                        continue
-                    self._syncing = True
-                    if not holding_lock:
-                        # Let announced committers reach their commit
-                        # point; one fsync will cover them all.
-                        self._gather_locked()
-                    cover = self._flushed_lsn
-                # -- leader, outside the condition lock --------------------
-                synced = False
-                try:
-                    if self._poisoned is not None:  # poisoned while gathering
-                        raise self._durability_lost()
-                    handle = self._handle
-                    if handle is None:
-                        # Only possible when the log was torn down under
-                        # an unredeemed ticket; never claim durability the
-                        # disk cannot provide any more.
-                        raise EngineError(
-                            "write-ahead log closed while a durable commit "
-                            "was waiting for its fsync"
-                        )
-                    try:
-                        if self.faults is not None:
-                            self.faults.fsync(handle.fileno(), "wal.fsync")
-                        else:
-                            os.fsync(handle.fileno())
-                    except OSError as exc:
-                        self.poison(f"commit-point fsync failed: {exc}")
-                        raise StorePoisonedError(
-                            "durable commit failed: commit-point fsync "
-                            f"raised {exc!r}; the write-ahead log is "
-                            "poisoned (fsync is never retried after a "
-                            "failure) and the store is read-only"
-                        ) from exc
-                    except BaseException:
-                        # A simulated crash (or interpreter teardown) at
-                        # the fsync point: still fail stop, then let the
-                        # crash propagate untouched.
-                        self.poison("crash at a commit-point fsync")
-                        raise
-                    self.fsyncs += 1
-                    synced = True
-                finally:
-                    with self._sync_cond:
-                        self._syncing = False
-                        if synced:
-                            # Only a completed fsync advances durability.
-                            self._synced_lsn = max(self._synced_lsn, cover)
-                        # Wakes followers either way: on failure they see
-                        # the poisoned flag and fail instead of re-leading.
-                        self._sync_cond.notify_all()
+            with self._holding_lock() if holding_lock else contextlib.nullcontext():
+                self._redeem(ticket, gather=not holding_lock)
         finally:
             with self._sync_cond:
-                if holding_lock:
-                    self._lock_holders -= 1
                 self._pending_syncs -= 1
                 if self._pending_syncs == 0:
+                    self._sync_cond.notify_all()
+
+    def _redeem(self, ticket: int, gather: bool) -> None:
+        """:meth:`wait_durable`'s loop: follow, or lead one fsync, until
+        ``ticket`` is covered."""
+        while True:
+            with self._sync_cond:
+                # Order matters: a ticket the disk already covered is
+                # durable regardless of any later poisoning.
+                if self._synced_lsn >= ticket:
+                    return
+                if self._poisoned is not None:
+                    raise self._durability_lost()
+                if self._syncing:
+                    self._sync_cond.wait()
+                    continue
+                self._syncing = True
+            # -- leader: everything below runs under the finally that
+            # hands leadership back, the gather wait included ----------------
+            synced = False
+            try:
+                with self._sync_cond:
+                    if gather:
+                        # Let announced and regular committers reach their
+                        # commit point; one fsync will cover them all.
+                        self._gather_locked()
+                    cover = self._flushed_lsn
+                    covered, self._batch = self._batch, set()
+                if self._poisoned is not None:  # poisoned while gathering
+                    raise self._durability_lost()
+                handle = self._handle
+                if handle is None:
+                    # Only possible when the log was torn down under an
+                    # unredeemed ticket; never claim durability the disk
+                    # cannot provide any more.
+                    raise EngineError(
+                        "write-ahead log closed while a durable commit "
+                        "was waiting for its fsync"
+                    )
+                try:
+                    if self.faults is not None:
+                        self.faults.fsync(handle.fileno(), "wal.fsync")
+                    else:
+                        os.fsync(handle.fileno())
+                except OSError as exc:
+                    self.poison(f"commit-point fsync failed: {exc}")
+                    raise StorePoisonedError(
+                        "durable commit failed: commit-point fsync "
+                        f"raised {exc!r}; the write-ahead log is "
+                        "poisoned (fsync is never retried after a "
+                        "failure) and the store is read-only"
+                    ) from exc
+                except BaseException:
+                    # A simulated crash (or interpreter teardown) at the
+                    # fsync point: still fail stop, then let the crash
+                    # propagate untouched.
+                    self.poison("crash at a commit-point fsync")
+                    raise
+                self.fsyncs += 1
+                synced = True
+            finally:
+                with self._sync_cond:
+                    self._syncing = False
+                    if synced:
+                        # Only a completed fsync advances durability.
+                        self._synced_lsn = max(self._synced_lsn, cover)
+                        # A busy batch makes its committers regulars; a
+                        # small one means the load is gone.
+                        if len(covered) >= BUSY_BATCH:
+                            self._regulars |= covered
+                        else:
+                            self._regulars.clear()
+                    # Wakes followers either way: on failure they see the
+                    # poisoned flag and fail instead of re-leading.
                     self._sync_cond.notify_all()
 
     def _durability_lost(self) -> StorePoisonedError:

@@ -15,10 +15,11 @@ and answered on the loop.  Pinning buys two properties at once:
   connections run on different threads, so they reach the write-ahead
   log's group commit together: one worker pays the fsync, the rest ride
   it (``commit_flush`` tickets / ``wait_durable``).  On a ``sync`` tenant
-  each decoded write frame announces its connection's worker to group
-  commit *before* the executor hop, so an fsync leader also waits for
-  requests still queued behind the event loop or admission — never
-  longer than the log's cap, and not at all when nobody else is
+  each decoded autocommit write frame, and each outermost transaction
+  commit frame, announces its connection's worker to group commit
+  *before* the executor hop, so an fsync leader also waits for requests
+  still queued behind the event loop or admission — never once the log's
+  cap passes without a commit, and not at all when nobody else is
   committing.  Sharded tenants announce per core, inside the engine.
 
 **Reads.**  ``extent`` and ``query`` read a snapshot of the committed
@@ -336,13 +337,20 @@ class _Connection:
             return await loop.run_in_executor(self._executor, call)
 
     async def _run_write(self, fn: Callable[..., Any], *args: Any) -> Any:
-        """:meth:`_run` for a write frame.  On a ``sync`` tenant the worker
-        is announced to group commit before the executor hop and retired
-        when the job ends (the commit point already retires it unless the
-        write failed); inside an open transaction the worker is already
-        announced."""
+        """:meth:`_run` for a frame that reaches a commit point: an
+        autocommit write, or the commit of an outermost transaction.  On a
+        ``sync`` tenant the worker is announced to group commit before the
+        executor hop and retired when the job ends (the commit point
+        already retires it unless the write failed).  Writes inside an open
+        transaction are not announced: the worker holds the writer lock and
+        the commit may be many round trips away."""
         wal, worker = self._group_wal, self._worker
-        if wal is None or worker is None or not wal.announce(worker):
+        if (
+            wal is None
+            or worker is None
+            or self._txns
+            or not wal.announce(worker)
+        ):
             return await self._run(fn, *args)
 
         def job() -> Any:
@@ -586,7 +594,7 @@ async def _op_txn_commit(
     # Pop before committing: the bracket is consumed either way (a failed
     # commit validation has already rolled the transaction back).
     txn = conn._txns.pop()
-    await conn._run(txn.__exit__, None, None, None)
+    await conn._run_write(txn.__exit__, None, None, None)
     return {"depth": len(conn._txns)}, True
 
 

@@ -445,12 +445,12 @@ def _wait_until(predicate, timeout=10.0):
 
 @pytest.mark.concurrency
 class TestGroupCommitLeader:
-    """The leader waits for announced committers, never for the clock: a
-    lone committer never waits, and a waiting leader is released by the
-    last announced commit point, by poison, and by a writer-lock holder
-    blocked in the log.  Tests that need a leader to stay waiting raise
-    the cap far above their own timeouts, so only the event under test
-    can release it."""
+    """The leader waits for announced and regular committers, never for the
+    clock: a lone committer never waits, and a waiting leader is released
+    by the last awaited commit point, by poison, by a writer-lock holder
+    blocked in the log, and by a cap without progress.  Tests that need a
+    leader to stay waiting raise the cap far above their own timeouts, so
+    only the event under test can release it."""
 
     @pytest.fixture
     def long_cap(self, monkeypatch):
@@ -603,6 +603,103 @@ class TestGroupCommitLeader:
         assert store.wal.telemetry.get("group_waits", 0) == 1
         store.close()
 
+    def test_transaction_body_is_not_announced(self, tmp_path):
+        """A transaction may sit idle holding the writer lock between
+        writes (a served one waits for its client); only its commit is
+        announced, and the commit point retires it."""
+        store = self._open(tmp_path)
+        wal = store.wal
+        me = threading.get_ident()
+        with store.transaction():
+            store.insert("Item", name="body", price=1.0)
+            assert me not in wal._announced
+        assert wal._announced == set()
+        assert wal.fsyncs == wal.sync_commits == 1
+        store.close()
+
+    def test_interrupted_gather_hands_leadership_back(self, tmp_path, long_cap):
+        """An exception out of the leader's gather wait (a KeyboardInterrupt
+        on a main-thread committer) must still hand leadership back: later
+        committers lead their own fsync and close() returns."""
+        store = self._open(tmp_path)
+        wal = store.wal
+        wal.announce(-1)  # a committer that never arrives
+        cond = wal._sync_cond
+        real_wait = cond.wait
+
+        def interrupted(timeout=None):
+            if wal._gathering:
+                raise KeyboardInterrupt
+            return real_wait(timeout)
+
+        cond.wait = interrupted
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                store.insert("Item", name="interrupted", price=1.0)
+        finally:
+            del cond.wait
+        wal.retire(-1)
+        assert not wal._syncing and not wal._gathering
+        outcome = []
+
+        def later():
+            store.insert("Item", name="later", price=1.0)
+            store.close()
+            outcome.append("closed")
+
+        thread = threading.Thread(target=later, daemon=True)
+        thread.start()
+        thread.join(10)
+        assert outcome == ["closed"], "leadership was never handed back"
+
+    def test_busy_batch_makes_regulars_until_the_load_drops(
+        self, tmp_path, long_cap, monkeypatch
+    ):
+        """One fsync covering BUSY_BATCH committers makes them regulars,
+        whom later leaders wait for; a regular that lets a whole cap pass
+        without committing is dropped, and the small batch that follows
+        clears the rest."""
+        from repro.engine import wal as wal_module
+
+        store = self._open(tmp_path)
+        wal = store.wal
+        store.insert("Item", name="warm", price=1.0)
+        fsyncs = wal.fsyncs
+        go = threading.Event()
+        idents, outcome = [], []
+
+        def follower(slot):
+            idents.append(threading.get_ident())
+            wal.announce()
+            go.wait(10)
+            store.insert("Item", name=f"follower{slot}", price=1.0)
+            outcome.append("committed")
+
+        followers = [
+            threading.Thread(target=follower, args=(slot,), daemon=True)
+            for slot in range(wal_module.BUSY_BATCH - 1)
+        ]
+        for thread in followers:
+            thread.start()
+        assert _wait_until(lambda: len(wal._announced) == len(followers))
+        leader = self._leader(store, outcome)
+        idents.append(leader.ident)
+        go.set()
+        for thread in [*followers, leader]:
+            thread.join(10)
+        assert outcome == ["committed"] * wal_module.BUSY_BATCH
+        assert wal.fsyncs == fsyncs + 1  # one busy batch ...
+        assert wal._regulars == set(idents)  # ... whose committers recur
+        # None of them commits again: the next leader waits one cap for
+        # them, drops them, and fsyncs alone.
+        monkeypatch.setattr(wal_module, "GROUP_WAIT_CAP", 0.001)
+        waits = wal.telemetry["group_waits"]
+        store.insert("Item", name="alone", price=1.0)
+        assert wal.telemetry["group_waits"] == waits + 1
+        assert wal._regulars == set()
+        assert wal.fsyncs == fsyncs + 2
+        store.close()
+
     def test_announcements_balance_under_contention(self, tmp_path):
         """More committers than cores, a tiny switch interval, and every
         way a write can leave: autocommits, rejected writes, committed and
@@ -655,6 +752,11 @@ class TestGroupCommitLeader:
         assert wal._announced == set()
         assert wal._lock_holders == 0
         assert wal._pending_syncs == 0
+        # The load is gone: a lone commit may wait one cap for regulars
+        # that stopped committing, and then leaves none behind.
+        store.insert("Item", name="after", price=1.0)
+        accepted.append("after")
+        assert wal._regulars == set()
         store.close()
         recovered = ObjectStore.open(tmp_path / "db")
         assert sorted(obj.state["name"] for obj in recovered.objects()) == sorted(
