@@ -6,8 +6,8 @@ worker thread, so concurrent client commits land on the engine exactly
 like concurrent embedded threads do — and share the WAL's group commit
 (see :mod:`repro.engine.wal`).  Each decoded write frame announces itself
 to group commit before it reaches the engine; the fsync leader waits only
-while announced commits — and, once a batch has served several
-connections, those connections' next commits — have yet to flush, and
+while announced commits — and, once a batch has served more than one
+connection, those connections' next commits — have yet to flush, and
 never once 1ms passes without a commit.  This benchmark records what the
 funnel delivers on a durable ``sync=True`` tenant:
 

@@ -125,22 +125,28 @@ ticket issue):
   write before it takes the writer lock, a transaction as its outermost
   commit begins, the server when it decodes a write frame — and leaves
   the set at its commit point or when it gives up;
-* **regulars**: when an fsync covers at least :data:`BUSY_BATCH`
+* **regulars**: when an fsync covers at least :data:`BUSY_BATCH` (two)
   committers the log is busy, and those committers become regulars, which
-  every leader waits for until they are in its batch.  A smaller batch
+  every leader waits for until they are in its batch.  A batch of one
   means the load is gone and clears them.
 
 The leader stops waiting the moment nobody it waits for is left, or once
 a whole :data:`GROUP_WAIT_CAP` passes without any committer reaching its
 commit point — whoever is still awaited then is stalled or idle, and
-regulars that missed the cap are dropped.  So a lone committer (or a
-pair, which pipelines its fsyncs better than it batches them) fsyncs at
+regulars that missed the cap are dropped.  So a lone committer fsyncs at
 once, and under load one fsync retires a whole wave of committers however
 slowly the host runs them: each one only has to follow the previous one
-within the cap.  A waiter that still holds the owning store's writer lock
-(two-phase commit, recovery resolve, ``close()``) never waits for other
-committers — they are queued behind its lock — and makes any waiting
-leader fsync at once (``wait_durable(holding_lock=True)``).
+within the cap.  Regulars start at two because announcements alone leave
+a pair of committers to chance: whether the second one's write has
+entered the engine when the first one leads decides between one shared
+fsync and two fsyncs in turn, so fsyncs per commit (and with them
+throughput) would swing with the host's speed from run to run.  Once two
+committers share an fsync they keep sharing them.
+
+A waiter that still holds the owning store's writer lock (two-phase
+commit, recovery resolve, ``close()``) never waits for other committers
+— they are queued behind its lock — and makes any waiting leader fsync
+at once (``wait_durable(holding_lock=True)``).
 
 Failure model
 -------------
@@ -216,7 +222,8 @@ _RETRY_BACKOFF = 0.001
 GROUP_WAIT_CAP = 0.001
 #: An fsync covering at least this many committers marks the log busy: the
 #: committers it covered become regulars, whom the next leaders wait for.
-BUSY_BATCH = 4
+#: Two, so that a pair of committers batches steadily (module docstring).
+BUSY_BATCH = 2
 
 _OPS = ("insert", "update", "delete")
 

@@ -548,9 +548,9 @@ class TestGroupCommitLeader:
 
         store = self._open(tmp_path)
         fsyncs = store.wal.fsyncs
-        blocker = threading.Thread(target=store.wal.announce, daemon=True)
-        blocker.start()
-        blocker.join(10)  # announced for good: it never commits
+        # A committer that never arrives.  (Not a finished thread: a new
+        # thread may reuse its ident, and the leader would retire itself.)
+        store.wal.announce(-1)
         outcome = []
         leader = self._leader(store, outcome)
         store.wal.poison("test: fail-stop while a leader waits")
@@ -698,6 +698,50 @@ class TestGroupCommitLeader:
         assert wal.telemetry["group_waits"] == waits + 1
         assert wal._regulars == set()
         assert wal.fsyncs == fsyncs + 2
+        store.close()
+
+    def test_a_pair_that_shared_an_fsync_keeps_sharing(self, tmp_path, long_cap):
+        """Two committers that once shared an fsync keep sharing them: the
+        next leader waits for its partner even before the partner's next
+        write is announced, instead of leaving the pairing to which write
+        happens to enter the engine first."""
+        store = self._open(tmp_path)
+        wal = store.wal
+        store.insert("Item", name="warm", price=1.0)
+        fsyncs = wal.fsyncs
+        announced, first, second = (threading.Event() for _ in range(3))
+        outcome = []
+
+        def partner():
+            wal.announce()
+            announced.set()
+            first.wait(10)
+            store.insert("Item", name="partner1", price=1.0)
+            second.wait(10)  # off in its client: not announced
+            store.insert("Item", name="partner2", price=1.0)
+            outcome.append("partner")
+
+        def leader():
+            announced.wait(10)
+            store.insert("Item", name="leader1", price=1.0)
+            store.insert("Item", name="leader2", price=1.0)
+            outcome.append("leader")
+
+        threads = [threading.Thread(target=f, daemon=True) for f in (partner, leader)]
+        for thread in threads:
+            thread.start()
+        assert _wait_until(lambda: wal.telemetry.get("group_waits", 0) == 1)
+        first.set()  # the announced partner commits; one fsync covers both
+        assert _wait_until(lambda: wal.telemetry.get("group_waits", 0) == 2)
+        # The leader's second commit waits for its unannounced partner.
+        assert wal.fsyncs == fsyncs + 1
+        assert wal._regulars == {thread.ident for thread in threads}
+        assert outcome == []
+        second.set()
+        for thread in threads:
+            thread.join(10)
+        assert sorted(outcome) == ["leader", "partner"]
+        assert wal.fsyncs == fsyncs + 2  # four commits, two fsyncs
         store.close()
 
     def test_announcements_balance_under_contention(self, tmp_path):
